@@ -88,7 +88,8 @@ func (c Config) threshold() int {
 }
 
 // Stats are the process-wide kernel counters, cheap enough to leave on
-// permanently; nasbench and the obs expvar endpoint read them.
+// permanently; the obs expvar and /metrics endpoints and the repo
+// benchmark (perfbench) read them.
 type Stats struct {
 	GemmCalls uint64 `json:"gemm_calls"`
 	GemmFLOPs uint64 `json:"gemm_flops"`
@@ -102,8 +103,9 @@ func ReadStats() Stats {
 }
 
 // SIMD reports the micro-kernel class the auto-detection resolved to:
-// "avx512", "avx2", or "generic". nasbench stamps it into reports so
-// the diff gate only compares speedup ratios across like machines.
+// "avx512", "avx2", or "generic". The repo benchmark (perfbench) stamps
+// it into each run's context, since absolute timings and last-bit
+// results are only comparable within one class.
 func SIMD() string {
 	switch {
 	case hasAVX512:

@@ -2,28 +2,12 @@ package nn
 
 import "podnas/internal/kernel"
 
-// Engine selects the compute path a network runs on.
-type Engine int
-
-const (
-	// EngineFused is the default: kernel-layer blocked GEMM, fused
-	// gate sweeps, and arena-backed scratch.
-	EngineFused Engine = iota
-	// EngineReference is the pre-kernel scalar path (naive GEMM,
-	// library activations, alloc-per-step), preserved so benchmarks
-	// can measure the baseline in the same run and so the fused path
-	// has an oracle; reference-engine results reproduce pre-kernel
-	// checkpoints bit for bit.
-	EngineReference
-)
-
 // engineState is the execution policy and scratch shared by every
 // layer of one network. Two arenas, not one: forward caches (gates,
 // cell states) must survive until Backward consumes them, so the
 // forward arena resets at Graph.Forward and the backward arena at
 // Graph.Backward.
 type engineState struct {
-	engine  Engine
 	noArena bool // alloc-per-step (bit-identity oracle for the arenas)
 	// standalone marks a state owned by a single layer used outside a
 	// Graph; the layer then recycles the arenas itself at each pass

@@ -83,17 +83,9 @@ type Graph struct {
 	dIn   *tensor.Tensor3
 }
 
-// SetEngine selects the compute path for every layer: EngineFused (the
-// default kernel path) or EngineReference (the preserved pre-kernel
-// scalar path, which reproduces pre-kernel checkpoints bit for bit).
-func (g *Graph) SetEngine(e Engine) { g.es.engine = e }
-
-// Engine returns the active compute engine.
-func (g *Graph) Engine() Engine { return g.es.engine }
-
-// SetArenas toggles arena-backed scratch for the fused engine (default
-// on). Off allocates every buffer fresh — the bit-identity oracle the
-// arena property test compares against.
+// SetArenas toggles arena-backed scratch (default on). Off allocates
+// every buffer fresh — the bit-identity oracle the arena property test
+// compares against.
 func (g *Graph) SetArenas(enabled bool) { g.es.noArena = !enabled }
 
 // SetKernelConfig sets the kernel execution policy (workers, parallel
@@ -177,7 +169,7 @@ func (g *Graph) Forward(x *tensor.Tensor3) *tensor.Tensor3 {
 	}
 	// Recycle the forward arena: every activation from the previous
 	// Forward (including the tensor it returned) is dead from here on.
-	if g.es.engine == EngineFused && !g.es.noArena {
+	if !g.es.noArena {
 		g.es.fwd.Reset()
 	}
 	outOf := func(idx int) *tensor.Tensor3 {
@@ -231,34 +223,24 @@ func (g *Graph) Backward(dOut *tensor.Tensor3) *tensor.Tensor3 {
 	g.dIn = nil
 	g.douts[n-1] = dOut
 	// Recycle the backward arena; forward caches live in the other one.
-	if g.es.engine == EngineFused && !g.es.noArena {
+	if !g.es.noArena {
 		g.es.bwd.Reset()
 	}
 
-	// cloneGrad copies a gradient the accumulator must own: arena-backed
-	// under the fused engine, a heap clone under the reference engine.
-	cloneGrad := func(src *tensor.Tensor3) *tensor.Tensor3 {
-		if g.es.engine == EngineReference {
-			return src.Clone()
-		}
-		data := g.es.alloc(g.es.bwd, len(src.Data)) //podnas:allow hotalloc inlined es.alloc in cloneGrad; noArena oracle mode only
-		copy(data, src.Data)
-		return tensor.Tensor3FromSlice(src.B, src.T, src.F, data)
-	}
+	// accumulate adds grad into the gradient slot of node idx (or of the
+	// network input), copying it into the backward arena on first use.
 	accumulate := func(idx int, grad *tensor.Tensor3) {
-		if idx == GraphInput {
-			if g.dIn == nil {
-				g.dIn = cloneGrad(grad)
-			} else {
-				tensor.AddTensor3(g.dIn, grad)
-			}
+		dst := &g.dIn
+		if idx != GraphInput {
+			dst = &g.douts[idx]
+		}
+		if *dst != nil {
+			tensor.AddTensor3(*dst, grad)
 			return
 		}
-		if g.douts[idx] == nil {
-			g.douts[idx] = cloneGrad(grad)
-		} else {
-			tensor.AddTensor3(g.douts[idx], grad)
-		}
+		data := g.es.alloc(g.es.bwd, len(grad.Data))
+		copy(data, grad.Data)
+		*dst = tensor.Tensor3FromSlice(grad.B, grad.T, grad.F, data)
 	}
 
 	for i := n - 1; i >= 0; i-- {
@@ -269,17 +251,16 @@ func (g *Graph) Backward(dOut *tensor.Tensor3) *tensor.Tensor3 {
 			// chain, but guard anyway).
 			continue
 		}
-		dMerged := node.body.Backward(d)
-		if len(node.inputs) == 1 {
-			accumulate(node.inputs[0], dMerged)
-			continue
-		}
-		dSum := dMerged
+		d = node.body.Backward(d)
 		if node.relu != nil {
-			dSum = node.relu.Backward(dMerged)
+			d = node.relu.Backward(d)
 		}
 		for j, in := range node.inputs {
-			accumulate(in, node.proj[j].Backward(dSum))
+			grad := d
+			if node.proj != nil {
+				grad = node.proj[j].Backward(d)
+			}
+			accumulate(in, grad) //podnas:allow hotalloc inlined es.alloc in accumulate; noArena oracle mode only
 		}
 	}
 	if g.dIn == nil {

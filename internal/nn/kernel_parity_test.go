@@ -8,7 +8,7 @@ import (
 	"podnas/internal/tensor"
 )
 
-// paritySpec exercises every layer kind the engines implement: LSTMs,
+// paritySpec exercises every layer kind the oracle implements: LSTMs,
 // skip-connection Dense projections, merge ReLUs, and an Identity node.
 func paritySpec() GraphSpec {
 	return GraphSpec{
@@ -44,11 +44,11 @@ func maxRelDiffSlice(a, b []float64) float64 {
 	return worst
 }
 
-// TestFusedMatchesReferenceGradients pins the fused engine to the
-// preserved pre-kernel path at 1e-9: outputs, parameter gradients, and
-// the input gradient. The engines may reorder float sums (fused GEMM
-// tiling, fast-exp activations), so bitwise equality is not expected —
-// 1e-9 relative is.
+// TestFusedMatchesReferenceGradients pins the fused path to the
+// preserved pre-kernel oracle (lstm_ref_test.go) at 1e-9, graph-wide:
+// outputs, parameter gradients, and the input gradient. The two may
+// reorder float sums (fused GEMM tiling, fast-exp activations), so
+// bitwise equality is not expected — 1e-9 relative is.
 func TestFusedMatchesReferenceGradients(t *testing.T) {
 	const tol = 1e-9
 	spec := paritySpec()
@@ -60,19 +60,19 @@ func TestFusedMatchesReferenceGradients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gR.SetEngine(EngineReference)
+	ref := newRefGraph(gR)
 
 	rng := tensor.NewRNG(11)
 	x := randT3(rng, 4, 5, spec.InputDim)
 	outF := gF.Forward(x)
-	outR := gR.Forward(x)
+	outR := ref.forward(x)
 	if d := maxRelDiffSlice(outF.Data, outR.Data); d > tol {
 		t.Fatalf("forward outputs differ by %g (tol %g)", d, tol)
 	}
 
 	dOut := randT3(rng, 4, 5, gF.OutDim())
 	dInF := gF.Backward(dOut)
-	dInR := gR.Backward(dOut)
+	dInR := ref.backward(dOut)
 	if d := maxRelDiffSlice(dInF.Data, dInR.Data); d > tol {
 		t.Fatalf("input gradients differ by %g (tol %g)", d, tol)
 	}

@@ -145,8 +145,10 @@ func Spans(events []obs.Event) []*Trace {
 // CriticalStep is one hop of a trace's critical path.
 type CriticalStep struct {
 	Span *Span
-	// Self is the step's exclusive time: its duration minus the part covered
-	// by its own critical child.
+	// Self is the step's exclusive time: its duration minus the union of
+	// all its children's intervals, each clipped to the step's own extent.
+	// Sequential children (epochs under train, evals under search) are all
+	// subtracted, not just the critical one.
 	Self time.Duration
 }
 
@@ -175,18 +177,26 @@ func CriticalPath(t *Trace) []CriticalStep {
 				next = c
 			}
 		}
-		self := s.Duration()
-		if next != nil {
-			if covered := next.Duration(); covered < self {
-				self -= covered
-			} else {
-				self = 0
-			}
-		}
-		path = append(path, CriticalStep{Span: s, Self: self})
+		path = append(path, CriticalStep{Span: s, Self: selfTime(s)})
 		s = next
 	}
 	return path
+}
+
+// selfTime is s's duration minus the union of its children's intervals
+// clipped to s. Children are ordered by start time, so one sweep with a
+// high-water mark merges overlapping intervals.
+func selfTime(s *Span) time.Duration {
+	var covered time.Duration
+	mark := s.Start
+	for _, c := range s.Children {
+		lo, hi := max(c.Start, mark), min(c.End, s.End)
+		if hi > lo {
+			covered += hi - lo
+			mark = hi
+		}
+	}
+	return s.Duration() - covered
 }
 
 // FormatSpanTree renders one trace as an indented text tree (nasreport

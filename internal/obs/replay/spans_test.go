@@ -166,4 +166,34 @@ func TestCriticalPath(t *testing.T) {
 	if len(CriticalPath(&Trace{})) != 0 {
 		t.Fatalf("empty trace should have no critical path")
 	}
+
+	// Sequential children all count against the parent's self time, not
+	// just the critical (last-ending) one: train 100ms with three
+	// back-to-back 20ms epochs keeps 100−60=40ms for itself.
+	trainRoot := span.NewTrace("run/RS/5")
+	seqTrain := span.Derive(trainRoot, "train", 0)
+	events = []obs.Event{spanEvent(seqTrain, trainRoot.Span, "train", 0, 100*time.Millisecond)}
+	for i := 0; i < 3; i++ {
+		ep := span.Derive(seqTrain, "epoch", uint64(i))
+		events = append(events, spanEvent(ep, seqTrain.Span, "epoch", time.Duration(10+20*i)*time.Millisecond, 20*time.Millisecond))
+	}
+	path = CriticalPath(Spans(events)[0])
+	if len(path) != 2 || path[0].Span.Name != "train" {
+		t.Fatalf("sequential path %+v, want train→epoch", path)
+	}
+	if path[0].Self != 40*time.Millisecond || path[1].Self != 20*time.Millisecond {
+		t.Fatalf("sequential self times %v %v, want 40ms 20ms", path[0].Self, path[1].Self)
+	}
+
+	// Overlapping children count once, and a child running past its
+	// parent is clipped: epochs [10,40] ∪ [30,60] ∪ [90,100] cover 60ms.
+	events = []obs.Event{spanEvent(seqTrain, trainRoot.Span, "train", 0, 100*time.Millisecond)}
+	for i, iv := range [][2]time.Duration{{10, 40}, {30, 60}, {90, 110}} {
+		ep := span.Derive(seqTrain, "epoch", uint64(i))
+		events = append(events, spanEvent(ep, seqTrain.Span, "epoch", iv[0]*time.Millisecond, (iv[1]-iv[0])*time.Millisecond))
+	}
+	path = CriticalPath(Spans(events)[0])
+	if path[0].Self != 40*time.Millisecond {
+		t.Fatalf("overlapping self time %v, want 40ms", path[0].Self)
+	}
 }

@@ -9,6 +9,7 @@ import (
 	"net"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strconv"
 	"testing"
 	"time"
@@ -39,6 +40,8 @@ func helperMain() {
 	var ev search.Evaluator = &mockEval{
 		sleep:    envDuration("HELPER_SLEEP", 0),
 		straggle: envDuration("HELPER_STRAGGLE", 0),
+		started:  os.Getenv("HELPER_STARTED"),
+		waitFor:  os.Getenv("HELPER_WAITFOR"),
 	}
 	if rate := envFloat("HELPER_KILLRATE", 0); rate > 0 {
 		ev = &search.FaultInjector{Inner: ev, Seed: envUint("HELPER_KILLSEED", 0), KillRate: rate}
@@ -106,9 +109,14 @@ func mockReward(a arch.Arch, seed uint64) float64 {
 }
 
 // mockEval stands in for the training evaluator: deterministic reward,
-// optional context-respecting delay.
+// optional context-respecting delay. started, when set, is a file the
+// evaluator creates as each evaluation begins; waitFor, when set, is a
+// file whose existence every evaluation waits for. Together they let a
+// test order evaluations across worker processes on observable state.
 type mockEval struct {
 	sleep, straggle time.Duration
+	started         string
+	waitFor         string
 }
 
 func (m *mockEval) Evaluate(a arch.Arch, seed uint64) (float64, error) {
@@ -116,6 +124,16 @@ func (m *mockEval) Evaluate(a arch.Arch, seed uint64) (float64, error) {
 }
 
 func (m *mockEval) EvaluateCtx(ctx context.Context, a arch.Arch, seed uint64) (float64, error) {
+	if m.started != "" {
+		if err := os.WriteFile(m.started, nil, 0o644); err != nil {
+			return 0, err
+		}
+	}
+	if m.waitFor != "" {
+		if err := waitForFile(ctx, m.waitFor); err != nil {
+			return 0, err
+		}
+	}
 	if d := m.sleep + m.straggle; d > 0 {
 		t := time.NewTimer(d)
 		defer t.Stop()
@@ -126,6 +144,22 @@ func (m *mockEval) EvaluateCtx(ctx context.Context, a arch.Arch, seed uint64) (f
 		}
 	}
 	return mockReward(a, seed), nil
+}
+
+// waitForFile polls until path exists or ctx ends.
+func waitForFile(ctx context.Context, path string) error {
+	tick := time.NewTicker(2 * time.Millisecond)
+	defer tick.Stop()
+	for {
+		if _, err := os.Stat(path); err == nil {
+			return nil
+		}
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-tick.C:
+		}
+	}
 }
 
 // helperCommand builds a Pool Command that re-execs this test binary as a
@@ -386,14 +420,20 @@ func TestPoolHeartbeatTimeout(t *testing.T) {
 // TestPoolSpeculativeReexecution parks one straggler worker and asserts the
 // speculative copy on the healthy worker wins while the loser is cancelled.
 func TestPoolSpeculativeReexecution(t *testing.T) {
+	// The straggler marks when it holds an evaluation; the healthy worker
+	// holds each evaluation until that mark exists. The healthy slot can
+	// therefore never drain both jobs: one of the two provably lands on
+	// the straggler.
+	straggling := filepath.Join(t.TempDir(), "straggling")
 	opts := fastPoolOptions()
 	opts.Workers = 2
 	opts.SpeculativeAfter = 150 * time.Millisecond
 	opts.Command = helperCommand(func(workerID, _ int) []string {
 		if workerID == 0 {
-			return []string{"HELPER_STRAGGLE=30s"} // pathological straggler
+			// Pathological straggler.
+			return []string{"HELPER_STRAGGLE=30s", "HELPER_STARTED=" + straggling}
 		}
-		return nil
+		return []string{"HELPER_WAITFOR=" + straggling}
 	})
 	pool, err := worker.NewPool(opts)
 	if err != nil {
@@ -401,7 +441,21 @@ func TestPoolSpeculativeReexecution(t *testing.T) {
 	}
 	defer pool.Close()
 
-	// Two concurrent evaluations: exactly one lands on the straggler. Its
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	// Dispatch only once both slots are live, so the premise does not
+	// depend on which worker process finishes its handshake first.
+	tick := time.NewTicker(5 * time.Millisecond)
+	defer tick.Stop()
+	for len(pool.Identities()) < 2 {
+		select {
+		case <-ctx.Done():
+			t.Fatalf("worker slots never both went live: %v", pool.Identities())
+		case <-tick.C:
+		}
+	}
+
+	// Two concurrent evaluations, one of them on the straggler. Its
 	// speculative copy must finish on the healthy worker long before 30s.
 	space := arch.Default()
 	rng := tensor.NewRNG(2)
@@ -411,8 +465,6 @@ func TestPoolSpeculativeReexecution(t *testing.T) {
 		want   float64
 	}
 	results := make(chan out, 2)
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
 	for i := 0; i < 2; i++ {
 		a, seed := space.Random(rng), uint64(100+i)
 		go func() {
