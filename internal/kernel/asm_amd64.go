@@ -2,17 +2,18 @@
 
 package kernel
 
-// gemmKernel6x8 is the AVX2+FMA micro-kernel:
-// C (6×8, row stride ldc doubles) += Apanel (kc×6 packed) · Bpanel (kc×8 packed).
+// gemmKernel6x8 is the AVX2+FMA micro-kernel: C (6×8) = or += A·B over
+// kc steps, operands in place as callKernel describes, strides in bytes.
 //
 //go:noescape
-func gemmKernel6x8(c, a, b *float64, kc, ldc int64)
+func gemmKernel6x8(c, a, b *float64, kc, ldc, sap, sai, sbp int64, accumulate bool)
 
-// gemmKernel8x16 is the AVX-512F micro-kernel:
-// C (8×16, row stride ldc doubles) += Apanel (kc×8 packed) · Bpanel (kc×16 packed).
+// gemmKernel8x16 is the AVX-512F micro-kernel: C (8×16) = or += A·B
+// over kc steps, operands in place as callKernel describes, strides in
+// bytes.
 //
 //go:noescape
-func gemmKernel8x16(c, a, b *float64, kc, ldc int64)
+func gemmKernel8x16(c, a, b *float64, kc, ldc, sap, sai, sbp int64, accumulate bool)
 
 // lstmFwdAVX512 is the AVX-512F fused LSTM gate sweep: 8 elements per
 // group, gate blocks at z + {0,1,2,3}·stride doubles. Returns how many

@@ -60,3 +60,46 @@ func BenchmarkLSTMForwardStep(b *testing.B) {
 		LSTMForwardStep(z, cPrev, c, tc, h)
 	}
 }
+
+// BenchmarkGemmLSTMViews runs the six GEMMs of one LSTM(80) training
+// step on batch 64 over 8-step windows, through the same strided
+// timestep views, transposes and packed panels the nn layer uses.
+func BenchmarkGemmLSTMViews(b *testing.B) {
+	const B, T, F, H = 64, 8, 5, 80
+	const H4 = 4 * H
+	r := &testRNG{s: 3}
+	fill := func(n int) []float64 {
+		s := make([]float64, n)
+		for i := range s {
+			s[i] = r.next()
+		}
+		return s
+	}
+	x, wx, wh := fill(B*T*F), fill(F*H4), fill(H*H4)
+	gates, hs, dz := fill(B*T*H4), fill(B*T*H), fill(B*T*H4)
+	gwx, gwh, dhn, dx := fill(F*H4), fill(H*H4), fill(B*H), fill(B*T*F)
+	cfg := Config{Workers: 1}
+	pbWh := cfg.PackB(nil, MatOf(H, H4, wh), false)
+	pbWhT := cfg.PackB(nil, MatOf(H, H4, wh), true)
+	step := func(d []float64, s int, w int) Mat { return Mat{R: B, C: w, Stride: T * w, Data: d[s*w:]} }
+	cases := []struct {
+		name string
+		run  func()
+	}{
+		{"xWx", func() { cfg.Gemm(MatOf(B*T, H4, gates), MatOf(B*T, F, x), MatOf(F, H4, wx), false, false, false) }},
+		{"hWh", func() { cfg.GemmPacked(step(gates, 1, H4), step(hs, 0, H), false, pbWh, true) }},
+		{"dzWhT", func() { cfg.GemmPacked(MatOf(B, H, dhn), step(dz, 1, H4), false, pbWhT, false) }},
+		{"hTdz", func() { cfg.Gemm(MatOf(H, H4, gwh), step(hs, 0, H), step(dz, 1, H4), true, false, true) }},
+		{"xTdz", func() { cfg.Gemm(MatOf(F, H4, gwx), MatOf(B*T, F, x), MatOf(B*T, H4, dz), true, false, true) }},
+		{"dzWxT", func() { cfg.Gemm(MatOf(B*T, F, dx), MatOf(B*T, H4, dz), MatOf(F, H4, wx), false, true, false) }},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			c.run()
+			b.ReportAllocs()
+			for b.Loop() {
+				c.run()
+			}
+		})
+	}
+}

@@ -4,6 +4,15 @@
 // slab arena for hot-path scratch. The tensor MatMul* family and the
 // nn training loop are thin wrappers over this package.
 //
+// GEMM operand contract: the micro-kernels (AVX-512 8×16, AVX2 6×8,
+// generic 4×4) read A, B and dst in place through strides, so strided
+// views (one timestep of a batch×time×feature buffer) and transposed A
+// cost no copy, and store mode (accumulate=false) writes each tile once
+// instead of clearing dst first. Packing remains only where in-place
+// reads cannot work or do not pay: zero-padded copies of ragged edge
+// panels, a transposed B, and a B reused across calls (PackB plus
+// GemmPacked).
+//
 // Determinism contract: for a fixed Config path (generic vs SIMD) the
 // result of every kernel is a pure function of its inputs — goroutine
 // parallelism partitions destination rows into disjoint blocks, so each

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"os"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -388,8 +389,19 @@ func TestMetricsSnapshotJSONSafe(t *testing.T) {
 	}
 }
 
+// varSeq numbers the expvar names the publish tests register. expvar's
+// registry is process-global and has no unpublish, so a fixed name would
+// make every repeat under -count=N see the previous run's registration.
+var varSeq atomic.Int64
+
+// uniqueVarName returns base suffixed with a number no earlier call in
+// this process returned.
+func uniqueVarName(base string) string {
+	return fmt.Sprintf("%s.%d", base, varSeq.Add(1))
+}
+
 func TestPublishKernelStats(t *testing.T) {
-	name := "podnas.test.kernel"
+	name := uniqueVarName("podnas.test.kernel")
 	if !PublishKernelStats(name) {
 		t.Fatal("first kernel-stats publish failed")
 	}
@@ -410,7 +422,7 @@ func TestPublishAndHTTPHandler(t *testing.T) {
 	m := NewMetrics(2)
 	m.Record(Event{Kind: KindEvalStart, Eval: 0})
 	m.Record(Event{Kind: KindEvalFinish, Eval: 0, Reward: 0.42, Arch: "x"})
-	name := "podnas.test.metrics"
+	name := uniqueVarName("podnas.test.metrics")
 	if !m.Publish(name) {
 		t.Fatal("first publish failed")
 	}

@@ -70,7 +70,8 @@ func (m *Matrix) Fill(v float64) {
 //
 // No production code calls this anymore: every hot-path consumer moved
 // to kernel.Gemm's transA/transB flags, which read the operand in
-// transposed order during packing instead of materializing a copy. T is
+// transposed order (in place for A, while packing for B) instead of
+// materializing a copy. T is
 // kept for tests and as a convenience for exploratory code; if you find
 // yourself calling it next to a MatMul, use the transposed MatMul
 // variant instead.

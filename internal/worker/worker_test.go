@@ -342,16 +342,26 @@ func TestPoolSurvivesInjectedKill(t *testing.T) {
 }
 
 // TestPoolSurvivesSelfKill exercises the FaultInjector's process-kill mode
-// inside real workers: each evaluation has a chance of SIGKILLing its own
-// process mid-flight. Incarnation-perturbed fault seeds keep a restarted
-// worker from re-drawing the same fatal decision forever.
+// inside real workers: an evaluation SIGKILLs its own process mid-flight.
+// Every worker's first incarnation dies on the first evaluation it takes
+// (kill rate 1), so at least one crash happens however the runner spreads
+// the evaluations over the two slots. Restarted incarnations draw seeded
+// kills at rate 0.4, perturbed by incarnation so a restarted worker does
+// not re-draw the same fatal decision forever. CrashLimit is lifted so a
+// streak of seeded kills on one evaluation cannot turn it into a poison
+// failure; the restart budget still bounds the run.
 func TestPoolSurvivesSelfKill(t *testing.T) {
 	opts := fastPoolOptions()
 	opts.Workers = 2
 	opts.MaxRestarts = 20
+	opts.CrashLimit = 20
 	opts.Command = helperCommand(func(workerID, incarnation int) []string {
+		rate := "0.4"
+		if incarnation == 0 {
+			rate = "1"
+		}
 		return []string{
-			"HELPER_KILLRATE=0.4",
+			"HELPER_KILLRATE=" + rate,
 			fmt.Sprintf("HELPER_KILLSEED=%d", 99+uint64(workerID)*1000+uint64(incarnation)*7919),
 		}
 	})
@@ -372,7 +382,7 @@ func TestPoolSurvivesSelfKill(t *testing.T) {
 		}
 	}
 	if st := pool.Stats(); st.Crashes < 1 {
-		t.Fatalf("kill rate 0.4 over %d evals injected no crashes, stats %+v", evals, st)
+		t.Fatalf("first-incarnation kills over %d evals injected no crashes, stats %+v", evals, st)
 	}
 }
 
